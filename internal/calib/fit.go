@@ -75,7 +75,7 @@ func Fit(samples []Sample) (Calibration, error) {
 	}
 
 	// Least squares, richest model first: split step rates per level
-	// class (the wavefront fast path prices single-level steps below
+	// class (the march's hot loop prices single-level steps below
 	// the level-crossing blend of 2-level marches), then a shared
 	// rate, then progressively fewer parameters.
 	if base, ps1, ps2, perRay, ok := fit4(samples); ok {

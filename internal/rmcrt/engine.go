@@ -31,6 +31,14 @@ import (
 // into the shared Domain counters (and the optional TraceMetrics
 // family) once per tile, never per step.
 //
+// Within a tile a worker runs the per-cell ray loop (solveCell) on each
+// flow cell in turn: the cell's rays are traced one after another to
+// extinction by the single scalar march (traceRay), as in the paper's
+// per-patch kernel, and the context is polled before every wave of a
+// cell's rays. Rays are not batched across cells: the march is
+// latency-bound (the benchmark's roofline fraction is ~0.03), and a
+// batched struct-of-arrays march measured no faster than this one.
+//
 // divQ is bitwise identical to the seed engine at any worker count and
 // any tile size: every cell draws from its own RNG stream keyed by
 // cellStreamID, so the assignment of cells to workers cannot affect the
@@ -76,34 +84,8 @@ type solveStats struct {
 	tiles   int // tiles the region decomposed into
 }
 
-// cancelCheckEvery is how many cells each worker solves between context
-// polls. A cell costs NRays full ray marches, so even a small stride
-// bounds cancellation latency to well under a second while keeping the
-// poll off the per-ray hot path.
-const cancelCheckEvery = 16
-
 // ceilDiv returns ⌈a/b⌉ for positive b.
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// tileKernel is one worker's tracing strategy: solveTile computes divQ
-// for every flow cell of [lo,hi) into out, polling poll between bounded
-// amounts of work and returning false the moment it reports
-// cancellation. A kernel is worker-private (built per goroutine) and is
-// reused across all tiles that worker claims.
-type tileKernel interface {
-	solveTile(lo, hi grid.IntVector, out *field.CC[float64], poll func() bool) bool
-}
-
-// newKernel picks the tracing strategy for opts: the wavefront-batched
-// marcher by default, or the scalar per-cell path when trace-time RNG
-// draws (scattering) make pre-generated ray batches impossible — and
-// for benchmarks that pin the scalar baseline.
-func (d *Domain) newKernel(opts *Options, cnt *traceCounters) tileKernel {
-	if opts.ScatterCoeff > 0 || opts.testForceScalar {
-		return newScalarKernel(d, opts, cnt)
-	}
-	return newBatchKernel(d, opts, cnt)
-}
 
 // solveRegionTiled runs the tile-scheduled solve. On cancellation it
 // returns a guaranteed non-nil error: ctx.Err() when it is already
@@ -126,92 +108,63 @@ func (d *Domain) solveRegionTiled(ctx context.Context, region grid.Box, opts *Op
 		return nil, stats, fmt.Errorf("rmcrt: region %v outside finest ROI %v", region, ld.ROI)
 	}
 	out := field.NewCC[float64](region)
-	err := d.runTiles(ctx, region, opts, out, &stats, func(cnt *traceCounters) tileKernel {
-		return d.newKernel(opts, cnt)
-	})
-	if err != nil {
+	if err := d.runTiles(ctx, region, opts, nil, out, &stats); err != nil {
 		return nil, stats, err
 	}
 	return out, stats, nil
 }
 
+// tileRun is one solve's shared schedule: the region's tile grid, the
+// atomic tile cursor the workers claim tiles from, and the cancellation
+// state. Workers keep everything else on their own stacks, so a solve's
+// heap footprint does not grow with the worker count.
+type tileRun struct {
+	d         *Domain
+	opts      *Options
+	sh        *spectralShared // nil for the gray solve
+	out       *field.CC[float64]
+	region    grid.Box
+	tile      int
+	ty, tz    int
+	nTiles    int
+	done      <-chan struct{}
+	cursor    atomic.Int64
+	cancelled atomic.Bool
+	wg        sync.WaitGroup
+}
+
 // runTiles decomposes region into cubic tiles and feeds them to
-// GOMAXPROCS workers through an atomic tile cursor; each worker builds
-// its own kernel via newKern and merges its private counters into the
-// Domain once per tile. Inputs are assumed validated.
-func (d *Domain) runTiles(ctx context.Context, region grid.Box, opts *Options, out *field.CC[float64], stats *solveStats, newKern func(*traceCounters) tileKernel) error {
+// GOMAXPROCS workers through an atomic tile cursor. Each worker runs
+// the per-cell ray loop — solveCell, or solveCellBands when sh is
+// non-nil — on every flow cell of the tiles it claims (z fastest), and
+// merges its private counters into the Domain once per tile. Opaque
+// cells keep divQ 0. Inputs are assumed validated.
+func (d *Domain) runTiles(ctx context.Context, region grid.Box, opts *Options, sh *spectralShared, out *field.CC[float64], stats *solveStats) error {
 	tile := opts.tileSize()
 	ext := region.Extent()
-	tx := ceilDiv(ext.X, tile)
-	ty := ceilDiv(ext.Y, tile)
-	tz := ceilDiv(ext.Z, tile)
-	nTiles := tx * ty * tz
-	stats.tiles = nTiles
+	r := &tileRun{
+		d: d, opts: opts, sh: sh, out: out, region: region, tile: tile,
+		ty: ceilDiv(ext.Y, tile), tz: ceilDiv(ext.Z, tile),
+		done: ctx.Done(),
+	}
+	r.nTiles = ceilDiv(ext.X, tile) * r.ty * r.tz
+	stats.tiles = r.nTiles
 
 	nw := runtime.GOMAXPROCS(0)
-	if nw > nTiles {
-		nw = nTiles
+	if nw > r.nTiles {
+		nw = r.nTiles
 	}
 	if nw < 1 {
 		nw = 1
 	}
 	stats.workers = nw
 
-	var cursor atomic.Int64
-	done := ctx.Done()
-	var cancelled atomic.Bool
-	timed := d.Metrics != nil
-	var wg sync.WaitGroup
+	r.wg.Add(nw)
 	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var cnt traceCounters
-			// A cancelled worker still merges its partial tallies, so
-			// Steps/Rays stay an honest account of work performed.
-			defer cnt.flushTo(d)
-			kern := newKern(&cnt)
-			poll := func() bool {
-				select {
-				case <-done:
-					cancelled.Store(true)
-				default:
-				}
-				return !cancelled.Load()
-			}
-			for {
-				t := int(cursor.Add(1) - 1)
-				if t >= nTiles || cancelled.Load() {
-					return
-				}
-				// Decode the flat tile index (z fastest, matching cell
-				// iteration order) and clip the tile to the region.
-				ti := t / (ty * tz)
-				tj := (t / tz) % ty
-				tk := t % tz
-				lo := region.Lo.Add(grid.IV(ti*tile, tj*tile, tk*tile))
-				hi := grid.IV(
-					min(lo.X+tile, region.Hi.X),
-					min(lo.Y+tile, region.Hi.Y),
-					min(lo.Z+tile, region.Hi.Z),
-				)
-				var start time.Time
-				if timed {
-					start = time.Now()
-				}
-				if !kern.solveTile(lo, hi, out, poll) {
-					return
-				}
-				cnt.flushTo(d)
-				if m := d.Metrics; m != nil {
-					m.Tiles.Inc()
-					m.TileSeconds.Observe(time.Since(start).Seconds())
-				}
-			}
-		}()
+		go r.work()
 	}
-	wg.Wait()
-	if cancelled.Load() {
+	r.wg.Wait()
+	if r.cancelled.Load() {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -221,4 +174,80 @@ func (d *Domain) runTiles(ctx context.Context, region grid.Box, opts *Options, o
 		return err
 	}
 	return nil
+}
+
+// poll reports whether the solve is still live, latching cancellation
+// once the context's Done channel closes.
+func (r *tileRun) poll() bool {
+	select {
+	case <-r.done:
+		r.cancelled.Store(true)
+	default:
+	}
+	return !r.cancelled.Load()
+}
+
+// work is one worker: it claims tiles until the cursor runs out or the
+// solve is cancelled.
+func (r *tileRun) work() {
+	defer r.wg.Done()
+	d := r.d
+	tc := newTraceCtx(r.opts)
+	var cnt traceCounters
+	// A cancelled worker still merges its partial tallies, so
+	// Steps/Rays stay an honest account of work performed.
+	defer cnt.flushTo(d)
+	var br *bandRay
+	if r.sh != nil {
+		br = newBandRay(r.sh.K)
+	}
+	ct := d.finest().CellType
+	tile, region := r.tile, r.region
+	for {
+		t := int(r.cursor.Add(1) - 1)
+		if t >= r.nTiles || r.cancelled.Load() {
+			return
+		}
+		// Decode the flat tile index (z fastest, matching cell
+		// iteration order) and clip the tile to the region.
+		ti := t / (r.ty * r.tz)
+		tj := (t / r.tz) % r.ty
+		tk := t % r.tz
+		lo := region.Lo.Add(grid.IV(ti*tile, tj*tile, tk*tile))
+		hi := grid.IV(
+			min(lo.X+tile, region.Hi.X),
+			min(lo.Y+tile, region.Hi.Y),
+			min(lo.Z+tile, region.Hi.Z),
+		)
+		var start time.Time
+		if d.Metrics != nil {
+			start = time.Now()
+		}
+		for x := lo.X; x < hi.X; x++ {
+			for y := lo.Y; y < hi.Y; y++ {
+				for z := lo.Z; z < hi.Z; z++ {
+					c := grid.IV(x, y, z)
+					if ct.At(c) != field.Flow {
+						continue
+					}
+					var v float64
+					var ok bool
+					if br == nil {
+						v, ok = d.solveCell(c, &tc, &cnt, r.poll)
+					} else {
+						v, ok = d.solveCellBands(c, r.sh, br, &tc, &cnt, r.poll)
+					}
+					if !ok {
+						return
+					}
+					r.out.Set(c, v)
+				}
+			}
+		}
+		cnt.flushTo(d)
+		if m := d.Metrics; m != nil {
+			m.Tiles.Inc()
+			m.TileSeconds.Observe(time.Since(start).Seconds())
+		}
+	}
 }

@@ -3,6 +3,8 @@ package rmcrt
 import (
 	"testing"
 
+	"github.com/uintah-repro/rmcrt/internal/field"
+	"github.com/uintah-repro/rmcrt/internal/grid"
 	"github.com/uintah-repro/rmcrt/internal/mathutil"
 )
 
@@ -187,4 +189,68 @@ func BenchmarkCounterContention(b *testing.B) {
 			_ = sink
 		})
 	})
+}
+
+// BenchmarkAdaptiveSolve measures the adaptive ray-budget mode on the
+// 32³ problem: cells start at 8 rays and top up toward the paper's 100
+// only where the Welford relative error demands it. rays_saved_pct is
+// the fraction of the fixed-budget ray count (flow cells ×
+// AdaptiveMaxRays) the adaptive mode did not have to trace — the
+// rays-saved headline perfgate surfaces in its summary.
+func BenchmarkAdaptiveSolve(b *testing.B) {
+	d, _, err := NewBenchmarkDomain(32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	region := d.finest().ROI
+	opts := DefaultOptions()
+	opts.NRays = 100
+	opts.AdaptiveRelTol = 0.05
+	opts.AdaptiveMinRays = 8
+	opts.AdaptiveMaxRays = 100
+
+	ld := d.finest()
+	flow := 0
+	region.ForEach(func(c grid.IntVector) {
+		if ld.CellType.At(c) == field.Flow {
+			flow++
+		}
+	})
+	b.ReportAllocs()
+	start := d.Rays.Load()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.SolveRegion(region, &opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	traced := float64(d.Rays.Load()-start) / float64(b.N)
+	potential := float64(flow * opts.AdaptiveMaxRays)
+	if potential > 0 {
+		b.ReportMetric(100*(1-traced/potential), "rays_saved_pct")
+	}
+}
+
+// BenchmarkSpectralSolve measures the fused K-band march on the full
+// 32³ problem: four bands on a κ ladder share one DDA march per ray.
+func BenchmarkSpectralSolve(b *testing.B) {
+	d, _, err := NewBenchmarkDomain(32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sd := scaledBands(d, []float64{0.25, 1, 2.5, 6}, []float64{0.1, 0.2, 0.3, 0.4})
+	region := d.finest().ROI
+	opts := benchSolveOpts()
+	b.ReportAllocs()
+	start := d.Steps.Load()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sd.SolveRegionSpectral(region, &opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if steps := d.Steps.Load() - start; steps > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+	}
 }

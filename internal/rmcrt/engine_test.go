@@ -294,3 +294,42 @@ func TestTileSizeInvariance(t *testing.T) {
 		assertBitwiseEqual(t, region, ref, out, "tile-size sweep")
 	}
 }
+
+// TestSolveAllocFlatInGOMAXPROCS: a solve's heap allocation must not
+// grow with the worker count. Workers keep only small private state
+// (counters, trace invariants, the per-cell RNG), so on a pre-packed
+// domain the bytes allocated per SolveRegion at GOMAXPROCS 16 stay
+// within 1.2× of GOMAXPROCS 1 — the output field dominates.
+func TestSolveAllocFlatInGOMAXPROCS(t *testing.T) {
+	d, _, err := NewBenchmarkDomain(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AttachPacked(PackDomain(d, nil)); err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.NRays = 4
+	region := d.finest().ROI
+	perSolve := func(procs int) uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		if _, err := d.SolveRegion(region, &opts); err != nil { // warm up
+			t.Fatal(err)
+		}
+		const n = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			if _, err := d.SolveRegion(region, &opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / n
+	}
+	one, sixteen := perSolve(1), perSolve(16)
+	t.Logf("bytes allocated per SolveRegion: %d at GOMAXPROCS 1, %d at 16", one, sixteen)
+	if float64(sixteen) > 1.2*float64(one) {
+		t.Fatalf("SolveRegion allocates %d B at GOMAXPROCS 16, over 1.2x the %d B at GOMAXPROCS 1", sixteen, one)
+	}
+}

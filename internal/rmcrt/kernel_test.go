@@ -12,27 +12,24 @@ import (
 	"github.com/uintah-repro/rmcrt/internal/grid"
 )
 
-// The batched wavefront marcher's edge cases: batches that drain in the
-// first pass, batches compacted down to a single surviving lane, tiles
-// with no flow cells at all, and adaptive top-up waves racing prompt
-// cancellation. Each case is checked bitwise against the scalar kernel
-// (testForceScalar) at GOMAXPROCS 1, 4 and 16 — run under -race in CI.
+// Engine edge cases at GOMAXPROCS 1, 4 and 16 — run under -race in
+// CI: the smallest schedulable unit of work, tiles with no flow cells
+// at all, and adaptive top-up waves racing prompt cancellation.
 
-// solveBatchedAndScalar solves the same region twice — batched and
-// forced-scalar — and asserts bitwise identity.
-func solveBatchedAndScalar(t *testing.T, d *Domain, region grid.Box, opts Options, label string) *field.CC[float64] {
+// solveVsSeed solves region with the tile engine and with the frozen
+// seed engine and asserts bitwise identity.
+func solveVsSeed(t *testing.T, d *Domain, region grid.Box, opts Options, label string) *field.CC[float64] {
 	t.Helper()
-	batched, err := d.SolveRegion(region, &opts)
+	got, err := d.SolveRegion(region, &opts)
 	if err != nil {
-		t.Fatalf("%s: batched solve: %v", label, err)
+		t.Fatalf("%s: engine solve: %v", label, err)
 	}
-	opts.testForceScalar = true
-	scalar, err := d.SolveRegion(region, &opts)
+	want, err := seedSolveRegion(d, region, &opts)
 	if err != nil {
-		t.Fatalf("%s: scalar solve: %v", label, err)
+		t.Fatalf("%s: seed solve: %v", label, err)
 	}
-	assertBitwiseEqual(t, region, batched, scalar, label)
-	return batched
+	assertBitwiseEqual(t, region, want, got, label)
+	return got
 }
 
 // atEachGOMAXPROCS runs f at GOMAXPROCS 1, 4 and 16.
@@ -60,27 +57,10 @@ func itoa(i int) string {
 	return string(buf[pos:])
 }
 
-// TestBatchAllTerminateFirstPass: a pass budget far above the longest
-// possible path makes every lane terminate in its first march burst, so
-// the compaction loop must drain the whole batch in one round without
-// ever parking a lane to the arena.
-func TestBatchAllTerminateFirstPass(t *testing.T) {
-	atEachGOMAXPROCS(t, func(t *testing.T) {
-		d, _, err := NewBenchmarkDomain(8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := DefaultOptions()
-		opts.NRays = 6
-		opts.testPassSteps = 1 << 20
-		solveBatchedAndScalar(t, d, d.finest().ROI, opts, "all-terminate-pass-1")
-	})
-}
-
-// TestBatchSingleLaneCompaction: the two degenerate compaction shapes —
-// a batch of exactly one lane (NRays=1, TileSize=1), and a pass budget
-// of one step so every lane survives many rounds and the active list
-// compacts all the way down through a single survivor to empty.
+// TestBatchSingleLaneCompaction: the smallest unit of work the engine
+// schedules — one ray per cell and one cell per tile — must still match
+// the seed engine bitwise. (The name predates the single scalar kernel,
+// whose per-cell loop has no lanes to compact.)
 func TestBatchSingleLaneCompaction(t *testing.T) {
 	atEachGOMAXPROCS(t, func(t *testing.T) {
 		d, _, err := NewBenchmarkDomain(8)
@@ -90,19 +70,14 @@ func TestBatchSingleLaneCompaction(t *testing.T) {
 		opts := DefaultOptions()
 		opts.NRays = 1
 		opts.TileSize = 1
-		solveBatchedAndScalar(t, d, d.finest().ROI, opts, "single-lane")
-
-		opts = DefaultOptions()
-		opts.NRays = 5
-		opts.testPassSteps = 1 // maximum parking: one DDA step per pass
-		solveBatchedAndScalar(t, d, d.finest().ROI, opts, "one-step-passes")
+		solveVsSeed(t, d, d.finest().ROI, opts, "single-ray cells")
 	})
 }
 
 // TestBatchOpaqueTile: an intrusion block aligned to the tile grid
-// leaves whole tiles with zero flow cells. collectFlow must skip them
-// (no lanes, no divQ writes) and the surrounding flow cells must still
-// match the scalar kernel bitwise; opaque cells keep divQ = 0.
+// leaves whole tiles with zero flow cells. The engine must skip them
+// (no rays, no divQ writes) and the surrounding flow cells must still
+// match the seed engine bitwise; opaque cells keep divQ = 0.
 func TestBatchOpaqueTile(t *testing.T) {
 	atEachGOMAXPROCS(t, func(t *testing.T) {
 		d, _, err := NewBenchmarkDomain(12)
@@ -119,7 +94,7 @@ func TestBatchOpaqueTile(t *testing.T) {
 		opts := DefaultOptions()
 		opts.NRays = 4
 		opts.TileSize = 4 // block covers exactly one whole tile
-		out := solveBatchedAndScalar(t, d, d.finest().ROI, opts, "opaque-tile")
+		out := solveVsSeed(t, d, d.finest().ROI, opts, "opaque-tile")
 		block.ForEach(func(c grid.IntVector) {
 			if v := out.At(c); v != 0 {
 				t.Fatalf("intrusion cell %v has divQ %v, want 0", c, v)
@@ -141,9 +116,9 @@ func TestBatchOpaqueTile(t *testing.T) {
 }
 
 // TestAdaptiveCancelDuringTopUps: cancellation arriving while the
-// adaptive wave loop is mid-flight — between top-up waves or march
-// passes — must abort the solve promptly with context.Canceled and
-// never return a partial field, at every worker count, under -race.
+// adaptive wave loop is mid-flight — between top-up waves — must abort
+// the solve promptly with context.Canceled and never return a partial
+// field, at every worker count, under -race.
 // The tolerance is set unreachably tight so every cell runs the full
 // top-up ladder to the cap: uncancelled the solve takes seconds, so a
 // 30 ms cancel always lands inside the wave interleaving.
@@ -345,9 +320,10 @@ func TestAdaptiveErrorVsRays(t *testing.T) {
 	}
 }
 
-// TestAdaptiveScalarFallback: with scattering the adaptive mode runs in
-// the scalar kernel (trace-time RNG draws). It must remain bitwise
-// deterministic across worker counts and still save rays.
+// TestAdaptiveScalarFallback: with scattering, trace-time RNG draws
+// interleave with the ray draws on each cell's stream. The adaptive
+// mode must remain bitwise deterministic across worker counts and
+// still save rays.
 func TestAdaptiveScalarFallback(t *testing.T) {
 	d, _, err := NewBenchmarkDomain(8)
 	if err != nil {

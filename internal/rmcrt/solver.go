@@ -16,61 +16,124 @@ func frac(x float64) float64 { return x - math.Floor(x) }
 // returns the cell's divergence of the heat flux:
 //
 //	divQ(c) = 4π κ(c) (σT⁴(c)/π − mean sumI)
+//
+// It always traces the fixed budget, whatever the adaptive options.
 func (d *Domain) SolveCell(c grid.IntVector, opts *Options) float64 {
 	tc := newTraceCtx(opts)
+	tc.minRays, tc.maxRays = opts.NRays, opts.NRays
 	var cnt traceCounters
-	divQ := d.solveCell(c, &tc, &cnt)
+	divQ, _ := d.solveCell(c, &tc, &cnt, nil)
 	cnt.flushTo(d)
 	return divQ
 }
 
-// solveCell is the engine-internal form of SolveCell: trace invariants
-// come precomputed in tc and ray/step tallies land in the worker-private
-// cnt (flushed by the caller once per tile, not per cell).
-func (d *Domain) solveCell(c grid.IntVector, tc *traceCtx, cnt *traceCounters) float64 {
-	ld := d.finest()
-	opts := tc.opts
-	rng := &tc.rng
-	rng.SeedStream(opts.Seed, cellStreamID(c))
-	lvl := ld.Level
-	dx := lvl.CellSize()
-	lo := lvl.CellLo(c)
-
+// raySampler draws one cell's rays from the cell's own stream, in the
+// seed engine's per-ray order: 3 origin draws unless cell-centred,
+// then 2 direction draws unless stratified.
+type raySampler struct {
+	lvl        *grid.Level
+	c          grid.IntVector
+	lo, dx     mathutil.Vec3
+	centered   bool
+	stratified bool
 	// Cranley–Patterson rotation offsets for stratified (randomized
 	// quasi-Monte Carlo) direction sampling.
-	var shift1, shift2 float64
-	if opts.Stratified {
-		shift1, shift2 = rng.Float64(), rng.Float64()
-	}
+	shift1, shift2 float64
+}
 
-	sum := 0.0
-	for r := 0; r < opts.NRays; r++ {
-		var origin mathutil.Vec3
-		if opts.CellCenteredRays {
-			origin = lvl.CellCenter(c)
-		} else {
-			origin = mathutil.Vec3{
-				X: lo.X + rng.Float64()*dx.X,
-				Y: lo.Y + rng.Float64()*dx.Y,
-				Z: lo.Z + rng.Float64()*dx.Z,
+// beginCell reseeds tc.rng on cell c's stream and returns the cell's
+// sampler; the stratified shifts are the stream's first two draws.
+func (tc *traceCtx) beginCell(lvl *grid.Level, c grid.IntVector) raySampler {
+	opts := tc.opts
+	tc.rng.SeedStream(opts.Seed, cellStreamID(c))
+	s := raySampler{
+		lvl: lvl, c: c, lo: lvl.CellLo(c), dx: lvl.CellSize(),
+		centered: opts.CellCenteredRays, stratified: opts.Stratified,
+	}
+	if s.stratified {
+		s.shift1, s.shift2 = tc.rng.Float64(), tc.rng.Float64()
+	}
+	return s
+}
+
+// ray returns the origin and direction of the cell's ray r.
+func (s *raySampler) ray(r int, rng *mathutil.RNG) (origin, dir mathutil.Vec3) {
+	if s.centered {
+		origin = s.lvl.CellCenter(s.c)
+	} else {
+		origin = mathutil.Vec3{
+			X: s.lo.X + rng.Float64()*s.dx.X,
+			Y: s.lo.Y + rng.Float64()*s.dx.Y,
+			Z: s.lo.Z + rng.Float64()*s.dx.Z,
+		}
+	}
+	if s.stratified {
+		u1 := frac(mathutil.Halton(r, 2) + s.shift1)
+		u2 := frac(mathutil.Halton(r, 3) + s.shift2)
+		cosTheta := 2*u1 - 1
+		sinTheta := math.Sqrt(1 - cosTheta*cosTheta)
+		phi := 2 * math.Pi * u2
+		dir = mathutil.Vec3{X: sinTheta * math.Cos(phi), Y: sinTheta * math.Sin(phi), Z: cosTheta}
+	} else {
+		dir = rng.UnitSphere()
+	}
+	return origin, dir
+}
+
+// solveCell is the engine's per-cell ray loop. It traces cell c's rays
+// in waves within the budget [tc.minRays, tc.maxRays]: a first wave of
+// minRays, then doubling top-ups capped at maxRays, until the standard
+// error of the mean intensity (a running Welford estimate) falls to
+// tc.relTol of the cell's signal scale — the larger of |mean
+// intensity| and the cell's own emitted intensity, so cold cells in hot
+// surroundings still resolve their incoming flux. The fixed mode is
+// the budget [NRays, NRays]: one wave, and the mean is the ray-order
+// sum over NRays, the seed engine's arithmetic.
+//
+// The stopping rule depends only on the cell's own stream and ray
+// order, so results are independent of how cells are spread over
+// workers and tiles. poll, when non-nil, is checked before every wave;
+// solveCell returns false as soon as it reports cancellation. Trace
+// invariants come precomputed in tc and ray/step tallies land in the
+// worker-private cnt (flushed by the caller once per tile).
+func (d *Domain) solveCell(c grid.IntVector, tc *traceCtx, cnt *traceCounters, poll func() bool) (float64, bool) {
+	ld := d.finest()
+	rng := &tc.rng
+	s := tc.beginCell(ld.Level, c)
+	emit := ld.SigmaT4OverPi.At(c)
+
+	n := 0
+	sum, mean, m2 := 0.0, 0.0, 0.0
+	for n < tc.maxRays {
+		wave := tc.minRays
+		if n > 0 {
+			wave = min(n, tc.maxRays-n)
+		}
+		if poll != nil && !poll() {
+			return 0, false
+		}
+		for end := n + wave; n < end; n++ {
+			origin, dir := s.ray(n, rng)
+			x := d.traceRay(origin, dir, rng, tc, cnt)
+			sum += x
+			delta := x - mean
+			mean += delta / float64(n+1)
+			m2 += delta * (x - mean)
+		}
+		if n >= 2 && n < tc.maxRays {
+			sem := math.Sqrt(m2 / float64(n-1) / float64(n))
+			scale := math.Abs(sum / float64(n))
+			if emit > scale {
+				scale = emit
+			}
+			if sem <= tc.relTol*scale {
+				break
 			}
 		}
-		var dir mathutil.Vec3
-		if opts.Stratified {
-			u1 := frac(mathutil.Halton(r, 2) + shift1)
-			u2 := frac(mathutil.Halton(r, 3) + shift2)
-			cosTheta := 2*u1 - 1
-			sinTheta := math.Sqrt(1 - cosTheta*cosTheta)
-			phi := 2 * math.Pi * u2
-			dir = mathutil.Vec3{X: sinTheta * math.Cos(phi), Y: sinTheta * math.Sin(phi), Z: cosTheta}
-		} else {
-			dir = rng.UnitSphere()
-		}
-		sum += d.traceRay(origin, dir, rng, tc, cnt)
 	}
-	meanI := sum / float64(opts.NRays)
+	meanI := sum / float64(n)
 	kappa := ld.Abskg.At(c)
-	return 4 * math.Pi * kappa * (ld.SigmaT4OverPi.At(c) - meanI)
+	return 4 * math.Pi * kappa * (emit - meanI), true
 }
 
 // SolveRegion computes divQ for every flow cell in region (finest-level

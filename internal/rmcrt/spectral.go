@@ -124,8 +124,8 @@ func (s *SpectralDomain) bandView(k int) *Domain {
 // SolveRegionSpectral computes the band-summed divergence of the heat
 // flux over region: the wavelength loop of the paper's future work.
 // Wall emission in each band is scaled by the same emissive fraction
-// (gray walls). The default path marches all K bands through the
-// wavefront batch over shared ray geometry (spectral_batch.go); with
+// (gray walls). The default path marches all K bands at once over
+// shared ray geometry (spectral_march.go); with
 // scattering the bands are solved independently on band-offset
 // streams. Either way results are deterministic for a given seed.
 func (s *SpectralDomain) SolveRegionSpectral(region grid.Box, opts *Options) (*field.CC[float64], error) {
@@ -134,7 +134,7 @@ func (s *SpectralDomain) SolveRegionSpectral(region grid.Box, opts *Options) (*f
 
 // solveSpectralBands is the independent-band fallback: one gray solve
 // per band on a band-offset stream, summed. It supports trace-time RNG
-// draws (scattering), which the fused batch path cannot reproduce.
+// draws (scattering), which the fused K-band march does not model.
 // Inputs are assumed validated; ctx is checked between band solves and
 // inside each one.
 func (s *SpectralDomain) solveSpectralBands(ctx context.Context, region grid.Box, opts *Options) (*field.CC[float64], error) {

@@ -126,6 +126,11 @@ type traceCtx struct {
 	scatterCoeff   float64
 	wallEmissivity float64
 	reflections    bool
+	// minRays and maxRays bound each cell's ray budget (solveCell):
+	// [NRays, NRays] in the fixed mode, the adaptive range otherwise,
+	// with relTol the adaptive stopping tolerance.
+	minRays, maxRays int
+	relTol           float64
 	// rng is worker-private scratch reseeded per cell (SeedStream), so
 	// the hot loop pays no allocation per stream.
 	rng mathutil.RNG
@@ -133,7 +138,7 @@ type traceCtx struct {
 
 // newTraceCtx precomputes the trace invariants for opts.
 func newTraceCtx(opts *Options) traceCtx {
-	return traceCtx{
+	tc := traceCtx{
 		opts:           opts,
 		maxSteps:       opts.maxSteps(),
 		maxReflections: opts.maxReflections(),
@@ -142,7 +147,20 @@ func newTraceCtx(opts *Options) traceCtx {
 		scatterCoeff:   opts.ScatterCoeff,
 		wallEmissivity: opts.WallEmissivity,
 		reflections:    opts.Reflections,
+		minRays:        opts.NRays,
+		maxRays:        opts.NRays,
 	}
+	if opts.adaptiveEnabled() {
+		tc.minRays, tc.maxRays = opts.adaptiveBudget()
+		tc.relTol = opts.AdaptiveRelTol
+	}
+	return tc
+}
+
+// reflects reports whether a ray that has already reflected n times
+// reflects off a grey surface it hits, rather than terminating there.
+func (tc *traceCtx) reflects(n int) bool {
+	return tc.reflections && !(tc.wallEmissivity >= 1) && n < tc.maxReflections
 }
 
 // marchState is the DDA (Amanatides–Woo) state of one ray on one level.
@@ -211,171 +229,279 @@ func (d *Domain) TraceRay(origin, dir mathutil.Vec3, rng *mathutil.RNG, opts *Op
 	return sumI
 }
 
-// traceRay is the hot path: identical physics to the public TraceRay,
-// but with the per-solve invariants read from tc and the ray/step
-// tallies accumulated into the worker-private cnt — zero shared atomics
-// inside the march loop.
+// rayGeom is one ray's geometric march state: its position and
+// direction, the DDA state on the current level, and the flat cursor
+// into that level's packed table. tm measures distance from origin to
+// the next face crossing per axis; td is the per-cell crossing
+// distance. The axis arrays are padded to 4 so the marches' ax&3
+// indexing compiles without bounds checks.
 //
-// Properties are read from the packed per-level tables (packed.go)
-// through a flat-index cursor: one stride add and one 24-byte record
-// load per DDA step, instead of three 3-D offset computations on three
-// separate arrays. The record values are bit-copies of the level
-// fields and the arithmetic order is unchanged, so the result stays
-// bitwise identical to the seed engine.
+// The marches copy the mutable fields (cc, tm, idx, tcur) into locals
+// for their hot loop and write them back only when a cold event needs
+// the geometry: the methods below are that cold path, shared by the
+// gray and the K-band march so the two cannot drift apart.
+type rayGeom struct {
+	d           *Domain
+	pd          *PackedDomain
+	li          int // current level index
+	origin, dir mathutil.Vec3
+	tcur        float64 // distance travelled from origin
+	cc, ss, dd  [4]int  // current cell, step direction, flat-index deltas
+	tm, td      [4]float64
+	idx         int // flat packed-record index of cc
+}
+
+// start places a fresh ray at origin/dir in its cell of the finest
+// level.
+func (g *rayGeom) start(d *Domain, origin, dir mathutil.Vec3) {
+	g.d, g.pd = d, d.ensurePacked()
+	g.origin, g.dir, g.tcur = origin, dir, 0
+	li := len(d.Levels) - 1
+	lvl := d.Levels[li].Level
+	st := initMarch(lvl, lvl.CellContaining(origin), origin, dir, 0)
+	g.set(li, &st)
+}
+
+// set installs DDA state st on level li and rebuilds the packed cursor
+// (which panics outside the table, the seed tracer's out-of-window
+// semantics).
+func (g *rayGeom) set(li int, st *marchState) {
+	cur := g.pd.levels[li].cursor(st)
+	g.li = li
+	g.cc = [4]int{st.cell.X, st.cell.Y, st.cell.Z}
+	g.ss = [4]int{st.step.X, st.step.Y, st.step.Z}
+	g.dd = [4]int{cur.d[0], cur.d[1], cur.d[2]}
+	g.tm = [4]float64{st.tMax.X, st.tMax.Y, st.tMax.Z}
+	g.td = [4]float64{st.tDelta.X, st.tDelta.Y, st.tDelta.Z}
+	g.idx = cur.idx
+}
+
+// cell returns the current cell.
+func (g *rayGeom) cell() grid.IntVector { return grid.IV(g.cc[0], g.cc[1], g.cc[2]) }
+
+// roi returns the current level's region of interest as a lower corner
+// and unsigned extents: a cell c is inside iff uint(c[i]−lo[i]) <
+// ext[i] on every axis, three compares instead of six.
+func (g *rayGeom) roi() (lo [3]int, ext [3]uint) {
+	r := g.d.Levels[g.li].ROI
+	lo = [3]int{r.Lo.X, r.Lo.Y, r.Lo.Z}
+	ext = [3]uint{uint(r.Hi.X - r.Lo.X), uint(r.Hi.Y - r.Lo.Y), uint(r.Hi.Z - r.Lo.Z)}
+	return lo, ext
+}
+
+// rec returns the packed record under the cursor.
+func (g *rayGeom) rec() *PackedCell { return &g.pd.levels[g.li].recs[g.idx] }
+
+// dropLevel moves the ray, which just left the current level's ROI, to
+// the next coarser level at its current position, nudged slightly
+// forward so face-exact points land in the cell ahead of the crossing.
+// The origin is kept: the coarse DDA state measures from it.
+func (g *rayGeom) dropLevel() {
+	g.li--
+	lvl := g.d.Levels[g.li].Level
+	eps := 1e-9 * lvl.CellSize().MinComponent()
+	p := g.origin.Add(g.dir.Scale(g.tcur + eps))
+	st := initMarch(lvl, lvl.CellContaining(p), p, g.dir, g.tcur)
+	g.set(g.li, &st)
+}
+
+// reflect restarts the ray specularly about the face perpendicular to
+// ax that it just crossed, from the crossing point, one cell back along
+// ax. The reflected face is perpendicular to ax even after a level
+// drop: a drop happens when the ray crosses the fine ROI face on axis
+// ax, and that crossing is what exposed the coarse cell. The restart
+// cell, however, is only "one cell back along ax" when the ray actually
+// entered through a face of this cell. After a drop onto a coarse cell
+// that the fine ROI face straddles, the hit point lies strictly inside
+// the cell; stepping a whole coarse cell back would teleport the march
+// into a cell that does not contain it. Reflect in place instead: the
+// ray re-traverses the remaining thickness of the wall material it is
+// inside.
+func (g *rayGeom) reflect(ax int, dropped bool) {
+	lvl := g.d.Levels[g.li].Level
+	cell := g.cell()
+	inside := cell.WithComponent(ax, cell.Component(ax)-g.ss[ax])
+	p := g.origin.Add(g.dir.Scale(g.tcur))
+	if dropped && !enteredThroughFace(lvl, cell, ax, g.ss[ax], p) {
+		inside = cell
+	}
+	g.dir = g.dir.WithComponent(ax, -g.dir.Component(ax))
+	g.origin, g.tcur = p, 0
+	st := initMarch(lvl, inside, g.origin, g.dir, 0)
+	g.set(g.li, &st)
+}
+
+// scatter restarts the ray in its current cell from the point at
+// distance t along its path, with the new direction dir.
+func (g *rayGeom) scatter(t float64, dir mathutil.Vec3) {
+	p := g.origin.Add(g.dir.Scale(t))
+	g.origin, g.dir, g.tcur = p, dir, 0
+	st := initMarch(g.d.Levels[g.li].Level, g.cell(), p, dir, 0)
+	g.set(g.li, &st)
+}
+
+// Events that end a hot-loop burst of the marches.
+const (
+	evOut     = iota // left the current level's ROI
+	evOpaque         // stepped into an opaque cell
+	evScatter        // scattering event inside the current cell
+	evDone           // extinction or maxSteps: the ray is finished
+)
+
+// traceRay is the gray march, the engine's hot path: identical physics
+// to the public TraceRay, with the per-solve invariants read from tc
+// and the ray/step tallies accumulated into the worker-private cnt.
+//
+// Properties come from the packed per-level tables (packed.go) through
+// a flat-index cursor: one stride add and one 24-byte record load per
+// DDA step. The hot loop keeps the DDA state in axis-indexed local
+// arrays, so the crossed axis (effectively random) costs data movement
+// instead of mispredicted branches; its axis choice is a min-select
+// that compiles to conditional moves; and the ROI test is three
+// unsigned range checks. Everything rare — walls, level drops, opaque
+// cells, reflections, the scattering event — leaves the loop and is
+// handled below it, with the geometry in rayGeom's shared methods. The
+// arithmetic, and its order, is the seed engine's, so results stay
+// bitwise identical to it.
 func (d *Domain) traceRay(origin, dir mathutil.Vec3, rng *mathutil.RNG, tc *traceCtx, cnt *traceCounters) float64 {
 	cnt.rays++
-	pd := d.ensurePacked()
-	li := len(d.Levels) - 1
-	ld := &d.Levels[li]
-	pl := pd.levels[li]
-	cell := ld.Level.CellContaining(origin)
-	st := initMarch(ld.Level, cell, origin, dir, 0)
-	cur := pl.cursor(&st)
+	var g rayGeom
+	g.start(d, origin, dir)
 
 	sumI := 0.0
 	tau := 0.0   // accumulated optical thickness
 	trans := 1.0 // e^{-tau}
-	tCur := 0.0  // distance travelled along the ray
+	threshold := tc.threshold
+	left := tc.maxSteps // remaining DDA steps
+	reflections := 0
 
+	// scatterT is +Inf without scattering, so its test never fires.
 	scatterT := math.Inf(1)
 	if tc.scatterCoeff > 0 && rng != nil {
 		scatterT = sampleScatterDistance(rng, tc.scatterCoeff)
 	}
-	reflections := 0
 
-	for step := 0; step < tc.maxSteps; step++ {
-		ax := st.nextAxis()
-		tNext := st.tMax.Component(ax)
-		ds := tNext - tCur
-		if ds < 0 {
-			ds = 0
-		}
+	for {
+		recs := g.pd.levels[g.li].recs
+		lo, ext := g.roi()
+		cc, ss, dd := g.cc, g.ss, g.dd
+		tm, td := g.tm, g.td
+		idx, tcur := g.idx, g.tcur
+		rec := &recs[idx]
+		ev, ax := evDone, 0
+		for left > 0 {
+			left--
+			ax = 0
+			tNext := tm[0]
+			if tm[1] < tNext {
+				ax = 1
+				tNext = tm[1]
+			}
+			if tm[2] < tNext {
+				ax = 2
+				tNext = tm[2]
+			}
+			ds := tNext - tcur
+			if ds < 0 {
+				ds = 0
+			}
+			if tcur+ds > scatterT {
+				ev = evScatter
+				break
+			}
 
-		// Isotropic scattering event inside this cell: accumulate the
-		// partial segment, redirect the ray, and continue from the
-		// scatter point with a fresh march.
-		if tCur+ds > scatterT && !math.IsInf(scatterT, 1) {
-			cnt.steps++
-			dsScat := scatterT - tCur
-			rec := &pl.recs[cur.idx]
-			tauNew := tau + rec.Abskg*dsScat
+			// Accumulate this cell's emission over the segment:
+			// sumI += I_b(cell) * (e^{-τ_prev} - e^{-τ}).
+			tauNew := tau + rec.Abskg*ds
 			transNew := math.Exp(-tauNew)
 			sumI += rec.SigmaT4OverPi * (trans - transNew)
 			tau, trans = tauNew, transNew
+			if trans < threshold {
+				break // extinction
+			}
 
-			p := origin.Add(dir.Scale(scatterT))
-			dir = rng.UnitSphere()
-			origin = p
-			tCur = 0
-			st = initMarch(ld.Level, st.cell, origin, dir, 0)
-			cur = pl.cursor(&st)
+			// Move into the next cell: one stride add advances the flat
+			// record index alongside the DDA state.
+			tcur = tNext
+			axm := ax & 3
+			cc[axm] += ss[axm]
+			tm[axm] += td[axm]
+			idx += dd[axm]
+			if uint(cc[0]-lo[0]) < ext[0] && uint(cc[1]-lo[1]) < ext[1] && uint(cc[2]-lo[2]) < ext[2] {
+				rec = &recs[idx]
+				if rec.Flags == 0 {
+					continue
+				}
+				ev = evOpaque
+			} else {
+				// Outside the ROI the flat index is not meaningful; the
+				// wall or drop below rebuilds the cursor.
+				ev = evOut
+			}
+			break
+		}
+		if ev == evDone {
+			cnt.steps += int64(tc.maxSteps - left)
+			return sumI
+		}
+		g.cc, g.tm, g.idx, g.tcur = cc, tm, idx, tcur
+
+		if ev == evScatter {
+			// Isotropic scattering inside this cell: accumulate the
+			// partial segment, then redirect from the scatter point.
 			// One scattering generation keeps variance bounded; the
 			// benchmark runs with scattering off.
+			tauNew := tau + rec.Abskg*(scatterT-tcur)
+			transNew := math.Exp(-tauNew)
+			sumI += rec.SigmaT4OverPi * (trans - transNew)
+			tau, trans = tauNew, transNew
+			g.scatter(scatterT, rng.UnitSphere())
 			scatterT = math.Inf(1)
 			continue
 		}
 
-		// Accumulate this cell's emission over the segment:
-		// sumI += I_b(cell) * (e^{-τ_prev} - e^{-τ}).
-		cnt.steps++
-		rec := &pl.recs[cur.idx]
-		tauNew := tau + rec.Abskg*ds
-		transNew := math.Exp(-tauNew)
-		sumI += rec.SigmaT4OverPi * (trans - transNew)
-		tau, trans = tauNew, transNew
-
-		if trans < tc.threshold {
-			return sumI // extinction
-		}
-
-		// Move into the next cell: one stride add advances the flat
-		// record index alongside the DDA state.
-		tCur = tNext
-		st.cell = st.cell.WithComponent(ax, st.cell.Component(ax)+st.step.Component(ax))
-		st.tMax = st.tMax.WithComponent(ax, st.tMax.Component(ax)+st.tDelta.Component(ax))
-		cur.idx += cur.d[ax]
-
-		// Left this level's region of interest?
 		dropped := false
-		if !ld.ROI.Contains(st.cell) {
-			if li == 0 {
+		if ev == evOut {
+			if g.li == 0 {
 				// Leaving the coarsest level means leaving the domain:
-				// the ray hits the enclosure wall.
+				// the ray hits the enclosure wall. A reflection carries
+				// the surviving (1−ε) weight back in, folded into the
+				// optical depth so later segments keep it.
 				sumI += tc.wallIntensity * trans
-				if !tc.reflections || tc.wallEmissivity >= 1 ||
-					reflections >= tc.maxReflections {
-					return sumI
+				if !tc.reflects(reflections) {
+					break
 				}
-				// Specular reflection: the surviving (1−ε) weight
-				// continues back into the domain. The weight is folded
-				// into the optical depth so later segments (which
-				// recompute trans from tau) keep it.
 				trans *= 1 - tc.wallEmissivity
 				tau -= math.Log(1 - tc.wallEmissivity)
-				if trans < tc.threshold {
-					return sumI
+				if trans < threshold {
+					break
 				}
 				reflections++
-				inside := st.cell.WithComponent(ax, st.cell.Component(ax)-st.step.Component(ax))
-				p := origin.Add(dir.Scale(tCur))
-				dir = dir.WithComponent(ax, -dir.Component(ax))
-				origin, tCur = p, 0
-				st = initMarch(ld.Level, inside, origin, dir, 0)
-				cur = pl.cursor(&st)
+				g.reflect(ax, false)
 				continue
 			}
-			// Drop to the next coarser level at the current position,
-			// nudged slightly forward so face-exact points land in the
-			// cell ahead of the crossing.
-			li--
-			ld = &d.Levels[li]
-			pl = pd.levels[li]
-			eps := 1e-9 * ld.Level.CellSize().MinComponent()
-			p := origin.Add(dir.Scale(tCur + eps))
-			ncell := ld.Level.CellContaining(p)
-			st = initMarch(ld.Level, ncell, p, dir, tCur)
-			cur = pl.cursor(&st)
+			g.dropLevel()
 			dropped = true
+			if rec = g.rec(); rec.Flags == 0 {
+				continue
+			}
 		}
 
 		// Opaque cell: the ray picks up the surface's emission and
-		// either terminates (black or reflections off) or reflects
-		// specularly about the crossed face.
-		if rec := &pl.recs[cur.idx]; rec.Flags != 0 {
-			sumI += tc.wallEmissivity * rec.SigmaT4OverPi * trans
-			if !tc.reflections || tc.wallEmissivity >= 1 ||
-				reflections >= tc.maxReflections {
-				return sumI
-			}
-			trans *= 1 - tc.wallEmissivity
-			tau -= math.Log(1 - tc.wallEmissivity)
-			if trans < tc.threshold {
-				return sumI
-			}
-			reflections++
-			// The reflected face is perpendicular to ax even after a
-			// level drop: a drop happens when the ray crosses the fine
-			// ROI face on axis ax, and that crossing is what exposed
-			// this opaque coarse cell. The restart cell, however, is
-			// only "one cell back along ax" when the ray actually
-			// entered through a face of this cell. After a drop onto a
-			// coarse cell that the fine ROI face straddles, the hit
-			// point lies strictly inside the opaque cell; stepping a
-			// whole coarse cell back would teleport the march into a
-			// cell that does not contain it. Reflect in place instead:
-			// the ray re-traverses the remaining thickness of the wall
-			// material it is inside.
-			inside := st.cell.WithComponent(ax, st.cell.Component(ax)-st.step.Component(ax))
-			p := origin.Add(dir.Scale(tCur))
-			if dropped && !enteredThroughFace(ld.Level, st.cell, ax, st.step.Component(ax), p) {
-				inside = st.cell
-			}
-			dir = dir.WithComponent(ax, -dir.Component(ax))
-			origin, tCur = p, 0
-			st = initMarch(ld.Level, inside, origin, dir, 0)
-			cur = pl.cursor(&st)
+		// either terminates or reflects about the crossed face.
+		sumI += tc.wallEmissivity * rec.SigmaT4OverPi * trans
+		if !tc.reflects(reflections) {
+			break
 		}
+		trans *= 1 - tc.wallEmissivity
+		tau -= math.Log(1 - tc.wallEmissivity)
+		if trans < threshold {
+			break
+		}
+		reflections++
+		g.reflect(ax, dropped)
 	}
+	cnt.steps += int64(tc.maxSteps - left)
 	return sumI
 }
 
